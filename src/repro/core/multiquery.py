@@ -31,15 +31,11 @@ through kernels. By default the array path is **fused**
 (candidate, query) rows per batch in phase 1, and one forest descent
 over every member query's survivor tree per page in phase 2 — a single
 kernel invocation per planner group instead of one per query.
-``fused=False`` keeps the PR-4 per-query kernel loop (one sweep per
+``fused=False`` keeps the per-query kernel loop (one sweep per
 (query, batch) / (query, page)), which the benchmarks use as the
-pre-fusion baseline; both produce identical numbers. On top of either
-array shape, ``backend="jit"`` (or ``auto`` escalation) swaps the
-numpy frontier sweeps for the optional compiled tier
-(:mod:`repro.kernels.jit`) when numba is importable, falling back to
-numpy silently otherwise. Results, batch structure and page IOs are
+pre-fusion baseline. Results, batch structure and page IOs are
 bit-identical across all of it; ``checks_*`` follow each array shape's
-documented accounting (fused == per-query == jit by construction; only
+documented accounting (fused == per-query by construction; only
 ``python`` differs, by its early-abort granularity).
 """
 
@@ -63,8 +59,7 @@ from repro.core.trs import (
 from repro.data.dataset import Dataset
 from repro.errors import AlgorithmError
 from repro.kernels import fused as fused_kernels
-from repro.kernels import jit as jit_kernels
-from repro.kernels.backend import normalize_backend, numpy_ready
+from repro.kernels.backend import array_tier, normalize_backend
 from repro.kernels.columnar import ColumnarALTree, dissimilarity_matrices
 from repro.kernels.frontier import (
     batch_is_prunable,
@@ -90,8 +85,8 @@ class MultiQueryResult:
     stats: CostStats
     #: Attribute checks attributable to each query.
     per_query_checks: tuple[int, ...] = field(default=())
-    #: Concrete kernel tier that produced this batch (``python``,
-    #: ``numpy``, or ``jit`` when the compiled tier ran).
+    #: Concrete kernel tier that produced this batch (``python`` or
+    #: ``numpy``).
     backend: str = "python"
     #: Phase split of ``per_query_checks`` (same length; elementwise the
     #: two tuples sum to it). The batch planner uses the split to emit
@@ -111,8 +106,8 @@ class SharedScanTRS:
 
     Construction mirrors :class:`~repro.core.trs.TRS` (same layout step,
     same memory model); :meth:`run_batch` answers any number of queries.
-    ``backend`` selects the compute backend (``python``, ``numpy``,
-    ``jit`` or ``auto``; ``None`` keeps the scalar path). ``fused``
+    ``backend`` selects the compute backend (``python``, ``numpy`` or
+    ``auto``; ``None`` keeps the scalar path). ``fused``
     (default) routes the array backends through the fused multi-query
     kernels — one invocation per (phase, batch/page) for the whole
     group; ``fused=False`` keeps the per-query kernel loop.
@@ -160,28 +155,13 @@ class SharedScanTRS:
         fresh shared-scan instance skips the sort."""
         self._trs.use_layout(entries)
 
-    def _resolve_backend(self) -> str:
-        """The concrete tier for this run: ``python``, ``numpy``, or
-        ``jit`` (requested or ``auto``-escalated, and only when the
-        compiled tier is importable *and* the fused kernels are in use
-        — the legacy per-query shape has no compiled variant)."""
-        if self.backend in (None, "python"):
-            return "python"
-        if self.backend == "numpy":
-            return "numpy"  # unfit datasets rejected by dissimilarity_matrices
-        if self.backend == "jit":
-            return jit_kernels.effective_tier("jit") if self.fused else "numpy"
-        if numpy_ready() and self.dataset.space.is_fully_categorical():
-            return jit_kernels.effective_tier("auto") if self.fused else "numpy"
-        return "python"
-
     def run_batch(self, queries: Sequence[tuple]) -> MultiQueryResult:
         """Answer every query, sharing all database passes."""
         if not queries:
             raise AlgorithmError("need at least one query")
         qs = [self.dataset.validate_query(q) for q in queries]
         self.prepare()
-        backend = self._resolve_backend()
+        backend = array_tier(self.backend, self.dataset)
         tables = self._trs._tables()
         mats = (
             dissimilarity_matrices(self.dataset, self.name)
@@ -210,16 +190,13 @@ class SharedScanTRS:
         pqc2 = [0] * len(qs)
         started = time.perf_counter()
         fused = self.fused and backend != "python"
-        qarr = mats3 = None
+        qarr = None
         if fused:
             qarr = np.asarray(qs, dtype=np.intp).reshape(len(qs), m)
-            if backend == "jit":
-                mats3 = fused_kernels.pad_matrices(mats)
-            fused_kernels.note_fused_group()
         if _obs.enabled:
             if fused:
                 _obs.inc("repro_kernel_fused_groups_total", 1, tier=backend)
-            for tier_name in ("python", "numpy", "jit"):
+            for tier_name in ("python", "numpy"):
                 _obs.set_gauge(
                     "repro_kernel_backend_tier",
                     1.0 if tier_name == backend else 0.0,
@@ -267,7 +244,7 @@ class SharedScanTRS:
                 b = len(pb.entries)
                 if fused:
                     survive, checks2d = fused_kernels.fused_phase1(
-                        pb, mats, order, qarr, tier=backend, mats3=mats3
+                        pb, mats, order, qarr
                     )
                     per_q = checks2d.sum(axis=0)
                     for qi in range(len(qs)):
@@ -452,8 +429,7 @@ class SharedScanTRS:
                 )
             elif fused:
                 self._phase2_round_fused(
-                    data_file, trees, qs, mats, order, results, stats,
-                    pqc2, backend, mats3,
+                    data_file, trees, qs, mats, order, results, stats, pqc2
                 )
             else:
                 self._phase2_round_numpy(
@@ -503,16 +479,15 @@ class SharedScanTRS:
 
     @staticmethod
     def _phase2_round_fused(
-        data_file, trees, qs, mats, order, results, stats, per_query_checks,
-        tier, mats3,
+        data_file, trees, qs, mats, order, results, stats, per_query_checks
     ) -> None:
         """One shared pass pruning *every* member tree per page: the
         round's trees are concatenated into a forest and each scanned
-        page runs one descent (numpy frontier or compiled DFS) instead
-        of one :func:`page_prune` per query. Decisions, IO and the
-        per-query check attribution are identical to the per-query
-        round — see :mod:`repro.kernels.fused`."""
-        with _obs.span("kernel.phase2", backend=tier) as span:
+        page runs one frontier descent instead of one
+        :func:`page_prune` per query. Decisions, IO and the per-query
+        check attribution are identical to the per-query round — see
+        :mod:`repro.kernels.fused`."""
+        with _obs.span("kernel.phase2", backend="numpy") as span:
             forest = fused_kernels.build_forest(
                 (qi, col, query_node_rows(col, mats, order, qs[qi]))
                 for qi, t in trees.items()
@@ -524,7 +499,7 @@ class SharedScanTRS:
                 e_ids = np.asarray([rid for rid, _ in dpage], dtype=np.intp)
                 e_vals = np.asarray([v for _, v in dpage], dtype=np.intp)
                 pq = fused_kernels.fused_page_prune(
-                    forest, mats, order, e_ids, e_vals, tier=tier, mats3=mats3
+                    forest, mats, order, e_ids, e_vals
                 )
                 stats.checks_phase2 += int(pq.sum())
                 for j, qi in enumerate(forest.qis):

@@ -19,9 +19,9 @@ from repro.errors import AlgorithmError
 
 __all__ = [
     "BACKENDS",
+    "array_tier",
     "available_backends",
     "normalize_backend",
-    "numpy_ready",
     "register_variant",
     "resolve_algorithm",
     "scalar_variant",
@@ -29,10 +29,7 @@ __all__ = [
 ]
 
 #: The backend names every ``--backend`` / ``backend=`` site accepts.
-#: ``jit`` selects the numpy algorithm classes but escalates the fused
-#: shared-scan kernels to compiled loops when :mod:`repro.kernels.jit`
-#: reports numba importable (graceful numpy fallback otherwise).
-BACKENDS = ("python", "numpy", "jit", "auto")
+BACKENDS = ("python", "numpy", "auto")
 
 #: scalar algorithm name -> numpy-variant algorithm name.
 _VECTOR_OF: dict[str, str] = {}
@@ -85,15 +82,6 @@ def scalar_variant(name: str) -> str:
     return _SCALAR_OF.get(name, name)
 
 
-def numpy_ready() -> bool:
-    """Whether the numpy backend can run in this interpreter."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        return False
-    return True
-
-
 def normalize_backend(backend: str | None) -> str | None:
     """Validate a backend name (``None`` means "leave the choice alone")."""
     if backend is None:
@@ -106,7 +94,7 @@ def normalize_backend(backend: str | None) -> str | None:
 
 def available_backends(name: str) -> tuple[str, ...]:
     """The backends algorithm ``name`` can honour."""
-    if vector_variant(name) is not None and numpy_ready():
+    if vector_variant(name) is not None:
         return BACKENDS
     return ("python", "auto")
 
@@ -119,10 +107,7 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
       back to their scalar counterparts).
     - ``numpy``    — the vector variant; an explicit request for an
       algorithm with no vectorised implementation is an error.
-    - ``jit``      — the vector variant too: algorithm *classes* are
-      shared between the numpy and jit tiers; the tier split happens
-      inside the fused shared-scan kernels (:mod:`repro.kernels.jit`).
-    - ``auto``     — the vector variant when one exists, numpy imports,
+    - ``auto``     — the vector variant when one exists,
       ``dataset`` (when given) is fully categorical, and the variant is
       either unconditionally auto-eligible or its shape predicate
       accepts the dataset; else ``name``.
@@ -133,21 +118,17 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
     if backend == "python":
         return scalar_variant(name)
     vector = vector_variant(name)
-    if backend in ("numpy", "jit"):
+    if backend == "numpy":
         if vector is None:
             raise AlgorithmError(
-                f"algorithm {name!r} has no {backend} backend; "
+                f"algorithm {name!r} has no numpy backend; "
                 f"available backends: {', '.join(available_backends(name))}"
-            )
-        if not numpy_ready():  # pragma: no cover - numpy is a hard dep today
-            raise AlgorithmError(
-                f"{backend} backend requested but numpy is not importable"
             )
         return vector
     # auto: upgrade when it is guaranteed safe AND a known win, fall
     # back silently otherwise (explicit backend="numpy" still honours
     # demoted variants).
-    if vector is None or not numpy_ready():
+    if vector is None:
         return scalar_variant(name)
     if dataset is not None and not dataset.space.is_fully_categorical():
         return scalar_variant(name)
@@ -157,3 +138,15 @@ def resolve_algorithm(name: str, backend: str | None, dataset=None) -> str:
     if predicate is not None and dataset is not None and predicate(dataset):
         return vector
     return scalar_variant(name)
+
+
+def array_tier(backend: str | None, dataset) -> str:
+    """The concrete kernel tier a shared scan runs ``backend`` on:
+    ``numpy`` when requested explicitly, or for ``auto`` on a fully
+    categorical ``dataset``; ``python`` otherwise. (An explicit numpy
+    request on an unfit dataset is rejected later, by the kernels.)"""
+    if backend == "numpy":
+        return "numpy"
+    if backend == "auto" and dataset.space.is_fully_categorical():
+        return "numpy"
+    return "python"

@@ -24,10 +24,6 @@ queries that dispatch dominates. The fused tier removes it:
   solo :func:`~repro.kernels.frontier.page_prune`; per-level ownership
   arrays attribute each check to its query.
 
-Both shapes also admit the optional compiled tier
-(:mod:`repro.kernels.jit`), which replaces the level-synchronous numpy
-sweeps with per-row DFS loops carrying identical accounting.
-
 The fused tier consumes the same cached ``_Phase1Batch`` bundles as the
 per-query path (same :class:`~repro.kernels.plancache.PlanKey`), so
 plan-cache hits, shared-memory imports and the serve micro-batcher all
@@ -44,64 +40,10 @@ from repro.kernels.frontier import _expand, batch_is_prunable
 __all__ = [
     "Forest",
     "build_forest",
-    "flatten_col",
-    "fused_groups_run",
     "fused_page_prune",
     "fused_phase1",
-    "note_fused_group",
-    "pad_matrices",
     "stacked_query_distances",
 ]
-
-#: Process-local count of fused group runs (the serve stats payload
-#: reads this directly; the obs counter mirrors it when enabled).
-_FUSED_GROUPS_RUN = 0
-
-
-def note_fused_group() -> None:
-    global _FUSED_GROUPS_RUN
-    _FUSED_GROUPS_RUN += 1
-
-
-def fused_groups_run() -> int:
-    return _FUSED_GROUPS_RUN
-
-
-def pad_matrices(mats: list[np.ndarray]) -> np.ndarray:
-    """Stack the per-attribute dissimilarity matrices into one padded
-    ``(m, maxcard, maxcard)`` float64 block (what the compiled kernels
-    index); padding entries are never read."""
-    m = len(mats)
-    maxc = max((mat.shape[0] for mat in mats), default=0)
-    out = np.zeros((m, maxc, maxc), dtype=np.float64)
-    for i, mat in enumerate(mats):
-        c = mat.shape[0]
-        out[i, :c, :c] = mat
-    return out
-
-
-def flatten_col(col: ColumnarALTree):
-    """Concatenate a flattening's per-level arrays for the compiled
-    kernels: ``(level_off, keys, desc, child_start, child_end)`` with
-    ``level_off[l]`` the flat offset of level ``l`` (child indices stay
-    level-local, as in the CSR layout)."""
-    m = col.num_levels
-    level_off = np.zeros(m + 1, dtype=np.int64)
-    for level in range(m):
-        level_off[level + 1] = level_off[level] + col.keys[level].size
-    n_total = int(level_off[m])
-    keys = np.zeros(n_total, dtype=np.int64)
-    desc = np.zeros(n_total, dtype=np.int64)
-    cs = np.zeros(n_total, dtype=np.int64)
-    ce = np.zeros(n_total, dtype=np.int64)
-    for level in range(m):
-        lo, hi = level_off[level], level_off[level + 1]
-        keys[lo:hi] = col.keys[level]
-        desc[lo:hi] = col.desc[level]
-        if level < m - 1:
-            cs[lo:hi] = col.child_start[level]
-            ce[lo:hi] = col.child_end[level]
-    return level_off, keys, desc, cs, ce
 
 
 def stacked_query_distances(
@@ -123,9 +65,6 @@ def fused_phase1(
     mats: list[np.ndarray],
     order,
     queries: np.ndarray,
-    *,
-    tier: str = "numpy",
-    mats3: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of every member query against one cached batch bundle.
 
@@ -154,54 +93,15 @@ def fused_phase1(
         vals_f = np.repeat(pb.rest_vals, nq, axis=0)
         qd_f = qd_all[pb.rest].reshape(R * nq, m)
         paths_f = np.repeat(pb.rest_paths, nq, axis=0)
-        pr_f = ck_f = None
-        if tier == "jit":
-            from repro.kernels import jit as _jit
-
-            kerns = _jit.kernels()
-            if kerns is not None and pb.col.keys and pb.col.keys[0].size:
-                level_off, keys, desc, cs, ce = flatten_col(pb.col)
-                if mats3 is None:
-                    mats3 = pad_matrices(mats)
-                collapse = pb.leaf_mins is not None and m >= 2
-                if collapse:
-                    amin, amin_ex = pb.leaf_mins
-                else:
-                    amin = amin_ex = np.zeros((1, 1), dtype=np.float64)
-                root_order = np.argsort(
-                    -pb.col.desc[0], kind="stable"
-                ).astype(np.int64)
-                pr_f = np.zeros(R * nq, dtype=np.bool_)
-                ck_f = np.zeros(R * nq, dtype=np.int64)
-                kerns["phase1"](
-                    m,
-                    level_off,
-                    keys,
-                    desc,
-                    cs,
-                    ce,
-                    mats3,
-                    np.asarray(order, dtype=np.int64),
-                    vals_f.astype(np.int64, copy=False),
-                    qd_f,
-                    paths_f.astype(np.int64, copy=False),
-                    root_order,
-                    collapse,
-                    np.asarray(amin, dtype=np.float64),
-                    np.asarray(amin_ex, dtype=np.float64),
-                    pr_f,
-                    ck_f,
-                )
-        if pr_f is None:
-            pr_f, ck_f = batch_is_prunable(
-                pb.col,
-                mats,
-                order,
-                vals_f,
-                qd_f,
-                paths_f,
-                leaf_mins=pb.leaf_mins,
-            )
+        pr_f, ck_f = batch_is_prunable(
+            pb.col,
+            mats,
+            order,
+            vals_f,
+            qd_f,
+            paths_f,
+            leaf_mins=pb.leaf_mins,
+        )
         prunable[pb.rest] = pr_f.reshape(R, nq)
         checks[pb.rest] = ck_f.reshape(R, nq)
     return ~prunable, checks
@@ -225,9 +125,6 @@ class Forest:
         "entry_query",
         "alive",
         "desc_live",
-        "flat",
-        "q_rows_flat",
-        "query_flat",
     )
 
     def __init__(self, col, qis, q_rows, query_of, entry_query) -> None:
@@ -238,9 +135,6 @@ class Forest:
         self.entry_query = entry_query
         self.alive = np.ones(col.entry_ids.size, dtype=bool)
         self.desc_live = col.live_descendants(self.alive)
-        self.flat = None  # lazily-built compiled-tier arrays
-        self.q_rows_flat = None
-        self.query_flat = None
 
     @property
     def live_total(self) -> int:
@@ -349,9 +243,6 @@ def fused_page_prune(
     order,
     e_ids: np.ndarray,
     e_vals: np.ndarray,
-    *,
-    tier: str = "numpy",
-    mats3: np.ndarray | None = None,
 ) -> np.ndarray:
     """One page of scanned objects against the whole forest.
 
@@ -368,47 +259,6 @@ def fused_page_prune(
     if E == 0 or m == 0 or not forest.alive.any():
         return pq_checks
     nleaf = col.keys[m - 1].size
-    if tier == "jit":
-        from repro.kernels import jit as _jit
-
-        kerns = _jit.kernels()
-        if kerns is not None:
-            if forest.flat is None:
-                forest.flat = flatten_col(col)
-                forest.q_rows_flat = np.concatenate(forest.q_rows).astype(
-                    np.float64, copy=False
-                )
-                forest.query_flat = np.concatenate(forest.query_of).astype(
-                    np.int64, copy=False
-                )
-            level_off, keys, _desc, cs, ce = forest.flat
-            desc_live_flat = np.concatenate(forest.desc_live).astype(
-                np.int64, copy=False
-            )
-            if mats3 is None:
-                mats3 = pad_matrices(mats)
-            dom_count = np.zeros(nleaf, dtype=np.int64)
-            last_dom = np.full(nleaf, -1, dtype=np.int64)
-            kerns["phase2"](
-                m,
-                level_off,
-                keys,
-                desc_live_flat,
-                cs,
-                ce,
-                mats3,
-                np.asarray(order, dtype=np.int64),
-                forest.query_flat,
-                forest.q_rows_flat,
-                e_ids.astype(np.int64, copy=False),
-                e_vals.astype(np.int64, copy=False),
-                pq_checks,
-                dom_count,
-                last_dom,
-            )
-            _apply_removal(forest, dom_count, last_dom)
-            return pq_checks
-    # numpy tier: one level-synchronous descent over the forest.
     n0 = col.keys[0].size
     e_idx = np.repeat(np.arange(E, dtype=np.intp), n0)
     node_idx = np.tile(np.arange(n0, dtype=np.intp), E)
@@ -437,22 +287,17 @@ def fused_page_prune(
             col, level, node_idx, e_idx, found_closer
         )
     if doomed_leaves.size:
+        # Identity-aware removal: an entry of a dominated leaf survives
+        # only as the *sole* dominator's own record (see
+        # :func:`~repro.kernels.frontier.page_prune`).
         dom_count = np.bincount(doomed_leaves, minlength=nleaf)
         last_dom = np.full(nleaf, -1, dtype=np.intp)
         last_dom[doomed_leaves] = e_ids[doomed_e]
-        _apply_removal(forest, dom_count, last_dom)
+        lc = dom_count[col.entry_leaf]
+        removed = forest.alive & (
+            (lc >= 2) | ((lc == 1) & (col.entry_ids != last_dom[col.entry_leaf]))
+        )
+        if removed.any():
+            forest.alive = forest.alive & ~removed
+            forest.desc_live = col.live_descendants(forest.alive)
     return pq_checks
-
-
-def _apply_removal(forest: Forest, dom_count, last_dom) -> None:
-    """The identity-aware removal shared by both tiers: an entry of a
-    dominated leaf survives only as the *sole* dominator's own record
-    (see :func:`~repro.kernels.frontier.page_prune`)."""
-    col = forest.col
-    lc = dom_count[col.entry_leaf]
-    removed = forest.alive & (
-        (lc >= 2) | ((lc == 1) & (col.entry_ids != last_dom[col.entry_leaf]))
-    )
-    if removed.any():
-        forest.alive = forest.alive & ~removed
-        forest.desc_live = col.live_descendants(forest.alive)

@@ -57,6 +57,7 @@ from repro.exec.executor import (
     _run_with_recovery,
     planner_group_key,
 )
+from repro.kernels.backend import array_tier
 from repro.obs import hooks as _obs
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import MicroBatcher, PendingQuery
@@ -132,6 +133,8 @@ class ServiceStats:
     deadline_dispatch: int = 0
     deadline_execute: int = 0
     pool_rebuilds: int = 0
+    #: Coalesced groups answered by one fused shared scan.
+    fused_groups: int = 0
     shed: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -546,19 +549,13 @@ class QueryService:
             "max_group": max(b.group_sizes, default=0),
         }
         out["latency"] = self.engine.latency_summary()
-        from repro.kernels import fused as fused_kernels
-        from repro.kernels import jit as jit_kernels
-
-        backend = getattr(self.engine, "backend", None)
+        # Groups run under the engine's backend, ``auto`` when it has
+        # none (see ``planner_group_key``).
+        backend = getattr(self.engine, "backend", None) or "auto"
         out["kernels"] = {
-            "fused_groups_run": fused_kernels.fused_groups_run(),
-            "jit": jit_kernels.status(),
-            # The concrete kernel tier batches run on right now.
-            "tier": (
-                "python"
-                if backend in (None, "python")
-                else jit_kernels.effective_tier(backend)
-            ),
+            "fused_groups_run": self.stats.fused_groups,
+            # The concrete kernel tier coalesced groups run on right now.
+            "tier": array_tier(backend, self.engine.dataset),
         }
         return out
 
@@ -630,6 +627,16 @@ class QueryService:
         if _obs.enabled:
             _obs.observe("repro_serve_payload_seconds", wall_s)
         outcomes = out if isinstance(out, list) else [out]
+        if wire[0] == "group":
+            # Counted here, not in the worker: a process-pool worker's
+            # counters never reach this process.
+            head = outcomes[0]
+            if (
+                head.error is None
+                and head.result.algorithm == "SharedScanTRS"
+                and head.result.backend != "python"
+            ):
+                self.stats.fused_groups += 1
         for p, outcome in zip(live, outcomes):
             self._settle(p, outcome, wall_s)
 

@@ -152,6 +152,14 @@ class ReverseSkylineMonitor:
         st = self._standing(query_id)
         return tuple(sorted(o for o, c in st.counts.items() if c == 0))
 
+    def pruner_count(self, query_id: str, object_id: int) -> int:
+        """How many live objects prune ``object_id`` under one standing
+        query (zero iff it is a member)."""
+        try:
+            return self._standing(query_id).counts[object_id]
+        except KeyError:
+            raise AlgorithmError(f"object {object_id} is not live") from None
+
     def queries(self) -> tuple[str, ...]:
         return tuple(sorted(self._queries))
 
@@ -317,8 +325,12 @@ class ReverseSkylineMonitor:
         if len(set(dels)) != len(dels):
             raise AlgorithmError("duplicate object id in delete batch")
         self.epoch += 1
-        # First-touch pre-batch counts per query; None marks an object
-        # born this batch (it cannot "leave" a result it was never in).
+        # Per query, the objects whose count touched zero this batch —
+        # the only ones whose membership can change — with their count
+        # when it first did (zero iff they were members before the
+        # batch: a count off zero until then never was zero). None
+        # marks an object born this batch (it cannot "leave" a result
+        # it was never in).
         touched: dict[str, dict[int, int | None]] = {
             qid: {} for qid in self._queries
         }
@@ -330,10 +342,12 @@ class ReverseSkylineMonitor:
                 t = touched[qid]
                 if self._can_influence(values, st.query):
                     evaluated += 1
+                    counts = st.counts
                     for x in self._pruned_by(oid, values, st.query):
-                        if x not in t:
-                            t[x] = st.counts[x]
-                        st.counts[x] -= 1
+                        c = counts[x]
+                        if c == 1 and x not in t:
+                            t[x] = 1
+                        counts[x] = c - 1
                 else:
                     filtered += 1
                 if oid not in t:
@@ -354,10 +368,12 @@ class ReverseSkylineMonitor:
                 t = touched[qid]
                 if self._can_influence(values, st.query):
                     evaluated += 1
+                    counts = st.counts
                     for x in self._pruned_by(oid, values, st.query):
-                        if x not in t:
-                            t[x] = st.counts[x]
-                        st.counts[x] += 1
+                        c = counts[x]
+                        if c == 0 and x not in t:
+                            t[x] = 0
+                        counts[x] = c + 1
                 else:
                     filtered += 1
                 t.setdefault(oid, None)

@@ -6,36 +6,31 @@ problem; this module provides that capability for the non-metric setting.
 
 A :class:`StreamingReverseSkyline` maintains, for a fixed query ``Q`` and
 a sliding window of objects, the current reverse skyline under inserts
-and expiries. The invariant is a per-object **pruner count**:
+and expiries. It is a thin window over a one-query
+:class:`~repro.streaming.monitor.ReverseSkylineMonitor`: the monitor
+keeps the per-object pruner counts
 
 ``count[x] = |{ y in window, y != x : y ≻_x Q }|``
 
-``x`` is in the result iff ``count[x] == 0``. Both update directions are
-resolved with AL-Tree traversals over the window:
-
-- **insert(b)**: every window object ``x`` that ``b`` prunes gets
-  ``count[x] += 1`` (one Algorithm 5-style *enumerating* traversal), and
-  ``count[b]`` is initialised by summing the window objects that prune
-  ``b`` (an exhaustive Algorithm 4-style traversal).
-- **expire(y)**: domination is time-independent, so the set of objects
-  ``y`` was pruning can be recomputed exactly at expiry with the same
-  enumerating traversal, and their counts decrement.
-
-Each update costs one tree traversal — the same group-level reasoning
-that powers TRS, amortised over the stream.
+(``x`` is in the result iff ``count[x] == 0``) with one AL-Tree
+traversal per update, and every insert or expiry is one monitor batch —
+an insert at capacity expires the oldest object in the same batch,
+deletes first.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.altree.tree import ALTree
 from repro.data.schema import Schema
 from repro.dissim.space import DissimilaritySpace
 from repro.errors import AlgorithmError, SchemaError
-from repro.sorting.keys import ascending_cardinality_order
+from repro.streaming.monitor import ReverseSkylineMonitor
 
 __all__ = ["StreamingReverseSkyline"]
+
+#: The monitor's id for the window's one standing query.
+_QID = "window"
 
 
 class StreamingReverseSkyline:
@@ -70,115 +65,49 @@ class StreamingReverseSkyline:
             raise SchemaError("schema and dissimilarity space arity mismatch")
         if capacity is not None and capacity < 1:
             raise AlgorithmError(f"capacity must be >= 1, got {capacity}")
-        schema.validate_record(tuple(query))
         self.schema = schema
         self.space = space
         self.query = tuple(query)
         self.capacity = capacity
-        self._tables = space.tables()
-        self._order = ascending_cardinality_order(schema)
-        self._tree = ALTree(self._order)
-        self._window: deque[tuple[int, tuple]] = deque()
-        self._counts: dict[int, int] = {}
-        self._values: dict[int, tuple] = {}
-        self._next_id = 0
+        self._monitor = ReverseSkylineMonitor(schema, space)
+        self._monitor.register(_QID, self.query)
+        self._window: deque[int] = deque()
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
         return len(self._window)
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._counts
+        return object_id in self._monitor
 
     def result(self) -> list[int]:
         """Current reverse-skyline member ids, ascending."""
-        return sorted(oid for oid, count in self._counts.items() if count == 0)
+        return list(self._monitor.members(_QID))
 
     def pruner_count(self, object_id: int) -> int:
-        try:
-            return self._counts[object_id]
-        except KeyError:
-            raise AlgorithmError(f"object {object_id} is not in the window") from None
-
-    # -- traversals ------------------------------------------------------------
-    def _pruned_by(self, e_id: int, e: tuple) -> list[int]:
-        """Window object ids that ``e`` prunes (``e ≻_x Q``), excluding
-        ``e`` itself by identity — an enumerating Algorithm 5."""
-        order = self._order
-        tables = self._tables
-        q = self.query
-        pruned: list[int] = []
-        stack = [(self._tree.root, False)]
-        while stack:
-            node, found_closer = stack.pop()
-            if node.entries:
-                if found_closer:
-                    pruned.extend(rid for rid, _ in node.entries if rid != e_id)
-                continue
-            for child in node.children.values():
-                i = order[child.position]
-                row = tables[i][child.key]
-                d_pe = row[e[i]]
-                d_pq = row[q[i]]
-                if d_pe <= d_pq:
-                    stack.append((child, found_closer or d_pe < d_pq))
-        return pruned
-
-    def _count_pruners(self, c_id: int, c: tuple) -> int:
-        """How many window objects dominate ``Q`` with respect to ``c``,
-        excluding ``c`` itself — an exhaustive Algorithm 4."""
-        order = self._order
-        tables = self._tables
-        qd = [tables[i][c[i]][self.query[i]] for i in range(len(c))]
-        total = 0
-        stack = [(self._tree.root, False)]
-        while stack:
-            node, found_closer = stack.pop()
-            if node.entries:
-                if found_closer:
-                    total += sum(1 for rid, _ in node.entries if rid != c_id)
-                continue
-            for child in node.children.values():
-                i = order[child.position]
-                d_cp = tables[i][c[i]][child.key]
-                if d_cp <= qd[i]:
-                    stack.append((child, found_closer or d_cp < qd[i]))
-        return total
+        if object_id not in self._monitor:
+            raise AlgorithmError(f"object {object_id} is not in the window")
+        return self._monitor.pruner_count(_QID, object_id)
 
     # -- updates ----------------------------------------------------------------
     def insert(self, values: tuple) -> int:
         """Add one object to the window; returns its id. Expires the
         oldest object first when at capacity."""
-        record = tuple(values)
-        self.schema.validate_record(record)
+        expired = ()
         if self.capacity is not None and len(self._window) >= self.capacity:
-            self.expire_oldest()
-        oid = self._next_id
-        self._next_id += 1
-        self._tree.insert(oid, record)
-        # Everyone the newcomer prunes gains a pruner...
-        for x_id in self._pruned_by(oid, record):
-            self._counts[x_id] += 1
-        # ...and the newcomer's own count is measured against the window.
-        self._counts[oid] = self._count_pruners(oid, record)
-        self._values[oid] = record
-        self._window.append((oid, record))
+            expired = (self._window[0],)
+        (oid,) = self._monitor.apply(inserts=(values,), deletes=expired).inserted
+        if expired:
+            self._window.popleft()
+        self._window.append(oid)
         return oid
 
     def expire_oldest(self) -> int:
         """Remove the oldest window object; returns its id."""
         if not self._window:
             raise AlgorithmError("cannot expire from an empty window")
-        oid, record = self._window.popleft()
-        # Objects it was pruning lose one pruner. Compute before removal
-        # so the traversal sees a consistent tree (its own entry is
-        # excluded by id).
-        for x_id in self._pruned_by(oid, record):
-            self._counts[x_id] -= 1
-        removed = self._tree.remove_object(oid, record)
-        assert removed, "window/tree desynchronised"
-        del self._counts[oid]
-        del self._values[oid]
+        oid = self._window.popleft()
+        self._monitor.apply(deletes=(oid,))
         return oid
 
     def extend(self, stream) -> list[int]:
@@ -189,15 +118,4 @@ class StreamingReverseSkyline:
     def recompute_naive(self) -> list[int]:
         """Reference recomputation of the current result from scratch
         (quadratic; used by tests and available for auditing)."""
-        from repro.skyline.domination import dominates
-
-        items = list(self._window)
-        out = []
-        for x_id, x in items:
-            if not any(
-                dominates(self.space, y, self.query, x)
-                for y_id, y in items
-                if y_id != x_id
-            ):
-                out.append(x_id)
-        return sorted(out)
+        return list(self._monitor.recompute_naive(_QID))

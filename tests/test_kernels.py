@@ -207,18 +207,27 @@ class TestBackendDispatch:
         with pytest.raises(AlgorithmError, match="unknown backend"):
             normalize_backend("cuda")
 
-    def test_available_backends(self):
-        assert available_backends("TRS") == ("python", "numpy", "jit", "auto")
-        assert available_backends("NaiveRS") == ("python", "auto")
+    def test_jit_backend_rejected(self, tmp_path):
+        # numpy is the only array tier: "jit" is refused by every entry
+        # point, naming the known backends.
+        with pytest.raises(AlgorithmError, match="unknown backend"):
+            resolve_algorithm("TRS", "jit")
+        ds = synthetic_dataset(20, [4, 4], seed=1)
+        with pytest.raises(
+            AlgorithmError, match="known: python, numpy, auto"
+        ):
+            make_algorithm("TRS", ds, backend="jit")
+        from repro.cli import main
+        from repro.persist.format import save_dataset
 
-    def test_jit_backend_resolves_to_vector_variant(self):
-        # The jit tier shares the numpy algorithm classes; the tier
-        # split happens inside the fused shared-scan kernels. Requesting
-        # jit for a scalar-only algorithm is an error like numpy.
-        assert resolve_algorithm("TRS", "jit") == "VectorTRS"
-        assert resolve_algorithm("BRS", "jit") == "VectorBRS"
-        with pytest.raises(AlgorithmError, match="no jit backend"):
-            resolve_algorithm("NaiveRS", "jit")
+        data = str(save_dataset(ds, tmp_path / "data"))
+        with pytest.raises(SystemExit) as exc:
+            main(["query", data, "--query", "0,0", "--backend", "jit"])
+        assert exc.value.code == 2
+
+    def test_available_backends(self):
+        assert available_backends("TRS") == ("python", "numpy", "auto")
+        assert available_backends("NaiveRS") == ("python", "auto")
 
     def test_auto_upgrades_categorical(self):
         ds = synthetic_dataset(50, [4, 4], seed=1)
@@ -247,7 +256,7 @@ class TestBackendDispatch:
         assert resolve_algorithm("BRS", "numpy", wide) == "VectorBRS"
         # With no dataset in hand the shape is unknown: stay scalar.
         assert resolve_algorithm("BRS", "auto", None) == "BRS"
-        assert available_backends("BRS") == ("python", "numpy", "jit", "auto")
+        assert available_backends("BRS") == ("python", "numpy", "auto")
 
     def test_auto_falls_back_on_mixed_schema(self):
         ds = mixed_dataset(30, [4], [(0.0, 1.0)], seed=2)
@@ -317,8 +326,7 @@ class TestSharedScanBackends:
         ds = synthetic_dataset(120, [5, 5], seed=21)
         qs = query_batch(ds, 2, seed=5)
         auto = SharedScanTRS(ds, backend="auto", budget=MemoryBudget(2))
-        # auto resolves to numpy, escalating to jit when numba compiled.
-        assert auto.run_batch(qs).backend in ("numpy", "jit")
+        assert auto.run_batch(qs).backend == "numpy"
         mixed = mixed_dataset(40, [4], [(0.0, 1.0)], seed=2)
         with pytest.raises(AlgorithmError):
             # Mixed schemas stay on TRS semantics: SharedScanTRS reuses TRS,
