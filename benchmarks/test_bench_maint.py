@@ -22,6 +22,14 @@ written to ``BENCH_maint.json`` at the repository root:
   plan-cache entries its reads had built — surgical invalidation drops
   plans only when a compaction actually rewrites the base they were
   built from.
+- **Deletes stay vectorised.**  Epochs that carry tombstones (each
+  update deletes ``DELETE_BATCH`` and inserts as many records, then
+  ``READS_PER_EPOCH`` fresh reads follow) must read at least
+  ``MIN_TOMBSTONED_SPEEDUP``x faster on the numpy backend (VectorTRS,
+  which rebuilds its phase-1 plan once per epoch) than on the python
+  backend (TRS). The numpy time includes each epoch's plan-building
+  first read; answers are asserted identical first, and each side
+  keeps its best of ``REPS`` interleaved repetitions.
 
 Everything here is deterministic except the clock: the op sequence, the
 queries, and both strategies' answers are pure functions of the seeds.
@@ -50,11 +58,17 @@ BENCH_PATH = REPO_ROOT / "BENCH_maint.json"
 MIN_THROUGHPUT_RATIO = 3.0
 #: Plan-cache gate: share of entries surviving a non-compacting batch.
 MIN_PLAN_RETENTION = 0.5
+#: Tombstoned-read gate: python-backend read time over numpy's.
+MIN_TOMBSTONED_SPEEDUP = 2.0
 
 CARDS = [12, 10, 8]
 NUM_QUERIES = 40
 OPS = 200  # 10% of these are single-record inserts
 REPS = 4
+DELETE_BATCH = 256  # deletes (and as many inserts) per tombstoned epoch
+READS_PER_EPOCH = 9
+TOMBSTONED_EPOCHS = 3
+TOMBSTONED_REPS = 3
 
 
 def _workload(n: int, seed: int = 21):
@@ -104,6 +118,47 @@ def _run_rebuild(ds, ops):
     return time.perf_counter() - t0, answers
 
 
+def _tombstoned_epochs(ds, seed: int = 31):
+    """Update batches (stable ids to delete, records to insert) and the
+    fresh reads that follow each one. Stable ids are assigned in insert
+    order, so both backends' stores see the same ids."""
+    rng = random.Random(seed)
+    n = len(ds)
+
+    def rec():
+        return tuple(rng.randrange(c) for c in CARDS)
+
+    live = list(range(n))
+    next_id = n
+    epochs = []
+    for _ in range(TOMBSTONED_EPOCHS):
+        deletes = rng.sample(live, DELETE_BATCH)
+        gone = set(deletes)
+        live = [sid for sid in live if sid not in gone]
+        inserts = [rec() for _ in range(DELETE_BATCH)]
+        live.extend(range(next_id, next_id + DELETE_BATCH))
+        next_id += DELETE_BATCH
+        epochs.append((deletes, inserts, [rec() for _ in range(READS_PER_EPOCH)]))
+    return epochs
+
+
+def _run_tombstoned(ds, epochs, backend):
+    """Read time summed over every tombstoned epoch (updates untimed)."""
+    eng = MaintainedEngine(
+        ds, backend=backend, compact_min=10**9, log_queries=False
+    )
+    answers = []
+    read_s = 0.0
+    for deletes, inserts, reads in epochs:
+        eng.apply_updates(inserts=inserts, deletes=deletes)
+        assert eng.store.tombstone_count > 0
+        t0 = time.perf_counter()
+        for q in reads:
+            answers.append(eng.query(q).record_ids)
+        read_s += time.perf_counter() - t0
+    return read_s, answers
+
+
 def test_bench_maint_gates(emit):
     n = scaled(10000)
     ds, ops = _workload(n)
@@ -147,6 +202,21 @@ def test_bench_maint_gates(emit):
     invalidated = eng.plans_invalidated_total
     retention = (entries_before - invalidated) / entries_before
 
+    # -- tombstoned epochs: VectorTRS vs TRS reads -------------------------
+    epochs = _tombstoned_epochs(ds)
+    tomb_reps = []
+    for _rep in range(TOMBSTONED_REPS):
+        plancache.configure(plancache.DEFAULT_CAPACITY_BYTES)
+        vec_s, vec_answers = _run_tombstoned(ds, epochs, "numpy")
+        plancache.configure(plancache.DEFAULT_CAPACITY_BYTES)
+        trs_s, trs_answers = _run_tombstoned(ds, epochs, "python")
+        assert vec_answers == trs_answers
+        tomb_reps.append({"numpy_s": vec_s, "python_s": trs_s})
+    tomb_reads = TOMBSTONED_EPOCHS * READS_PER_EPOCH
+    best_vec = min(r["numpy_s"] for r in tomb_reps)
+    best_trs = min(r["python_s"] for r in tomb_reps)
+    tomb_speedup = best_trs / best_vec
+
     doc = {
         "workload": {
             "model": f"normal synthetic, cards {CARDS}, {OPS} ops "
@@ -163,6 +233,7 @@ def test_bench_maint_gates(emit):
         "gate": {
             "min_throughput_ratio": MIN_THROUGHPUT_RATIO,
             "min_plan_retention": MIN_PLAN_RETENTION,
+            "min_tombstoned_read_speedup": MIN_TOMBSTONED_SPEEDUP,
         },
         "throughput": {
             "reps": reps,
@@ -176,6 +247,19 @@ def test_bench_maint_gates(emit):
             "entries_after": entries_after,
             "invalidated": invalidated,
             "retention": retention,
+        },
+        "tombstoned_reads": {
+            "model": f"{TOMBSTONED_EPOCHS} epochs, each after an update of "
+                     f"{DELETE_BATCH} deletes + {DELETE_BATCH} inserts "
+                     "(no compaction), then "
+                     f"{READS_PER_EPOCH} fresh reads; numpy = VectorTRS "
+                     "incl. each epoch's plan-building first read, "
+                     "python = TRS",
+            "reads": tomb_reads,
+            "reps": tomb_reps,
+            "best_numpy_ms_per_read": 1000 * best_vec / tomb_reads,
+            "best_python_ms_per_read": 1000 * best_trs / tomb_reads,
+            "speedup": tomb_speedup,
         },
     }
     BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
@@ -198,6 +282,9 @@ def test_bench_maint_gates(emit):
         + f"plan-cache retention {retention:.2f} "
         + f"({invalidated} of {entries_before} entries invalidated, "
         + f"gate {MIN_PLAN_RETENTION})"
+        + f"\ntombstoned reads: numpy {1000 * best_vec / tomb_reads:.1f} ms "
+        + f"vs python {1000 * best_trs / tomb_reads:.1f} ms per read, "
+        + f"{tomb_speedup:.2f}x (gate {MIN_TOMBSTONED_SPEEDUP}x)"
         + f"\n(canonical artifact: {BENCH_PATH.name})",
     )
 
@@ -208,6 +295,10 @@ def test_bench_maint_gates(emit):
     assert retention >= MIN_PLAN_RETENTION, (
         f"update batch kept only {retention:.2f} of plan-cache entries "
         f"(gate {MIN_PLAN_RETENTION})"
+    )
+    assert tomb_speedup >= MIN_TOMBSTONED_SPEEDUP, (
+        f"tombstoned-epoch reads only {tomb_speedup:.2f}x faster on numpy "
+        f"than python (gate {MIN_TOMBSTONED_SPEEDUP}x)"
     )
     assert entries_after >= entries_before, (
         "a non-compacting update batch dropped plan-cache entries: "

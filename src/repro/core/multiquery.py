@@ -61,14 +61,7 @@ from repro.errors import AlgorithmError
 from repro.kernels import fused as fused_kernels
 from repro.kernels.backend import array_tier, normalize_backend
 from repro.kernels.columnar import ColumnarALTree, dissimilarity_matrices
-from repro.kernels.frontier import (
-    batch_is_prunable,
-    candidate_paths,
-    leaf_min_tables,
-    page_prune,
-    query_distances,
-    query_node_rows,
-)
+from repro.kernels.frontier import page_prune, query_node_rows
 from repro.obs import hooks as _obs
 from repro.storage.disk import DEFAULT_PAGE_BYTES, DiskSimulator, MemoryBudget
 
@@ -222,7 +215,7 @@ class SharedScanTRS:
         # builds them here and publishes for the next run.
         plan_key = plan = None
         if backend != "python":
-            from repro.core.vector_trs import _Phase1Batch  # canonical bundle
+            from repro.core.vector_trs import batch_prunable, snapshot_batch
             from repro.kernels.plancache import (
                 PlanKey,
                 plan_cache,
@@ -241,7 +234,7 @@ class SharedScanTRS:
             # One cached-or-fresh bundle; fused = one stacked kernel
             # sweep for the whole group, legacy = one sweep per query.
             with _obs.span("kernel.phase1", backend=backend) as span:
-                b = len(pb.entries)
+                b = pb.ids.size
                 if fused:
                     survive, checks2d = fused_kernels.fused_phase1(
                         pb, mats, order, qarr
@@ -254,26 +247,7 @@ class SharedScanTRS:
                 else:
                     survive = np.zeros((b, len(qs)), dtype=bool)
                     for qi, q in enumerate(qs):
-                        qd = query_distances(mats, pb.vals, q)
-                        prunable = np.zeros(b, dtype=bool)
-                        checks = np.zeros(b, dtype=np.int64)
-                        if pb.dup.any():
-                            positive = qd[pb.dup] > 0.0
-                            hit = positive.any(axis=1)
-                            prunable[pb.dup] = hit
-                            checks[pb.dup] = np.where(
-                                hit, np.argmax(positive, axis=1) + 1, m
-                            )
-                        if pb.rest.size:
-                            prunable[pb.rest], checks[pb.rest] = batch_is_prunable(
-                                pb.col,
-                                mats,
-                                order,
-                                pb.rest_vals,
-                                qd[pb.rest],
-                                pb.rest_paths,
-                                leaf_mins=pb.leaf_mins,
-                            )
+                        prunable, checks = batch_prunable(pb, mats, order, q)
                         total = int(checks.sum())
                         stats.checks_phase1 += total
                         pqc1[qi] += total
@@ -282,8 +256,8 @@ class SharedScanTRS:
                 # Append survivors candidate-major (query-minor) — the
                 # scalar append order — so writer page flushes hit the
                 # disk-head model in the same sequence.
-                for bi in np.flatnonzero(survive.any(axis=1)):
-                    c_id, c = pb.entries[bi]
+                rows = np.flatnonzero(survive.any(axis=1))
+                for bi, (c_id, c) in zip(rows, pb.records(rows)):
                     for qi in np.flatnonzero(survive[bi]):
                         writers[qi].append(c_id, c)
                 stats.phase1_batches += 1
@@ -321,25 +295,7 @@ class SharedScanTRS:
         def process_batch_numpy(trigger_page) -> None:
             # Flatten once per batch into the shared bundle (cached for
             # the next run on this layout), then sweep every query.
-            col = ColumnarALTree.from_tree(tree)
-            b = len(batch)
-            vals = np.asarray([c for _, c, _ in batch], dtype=np.intp).reshape(
-                b, -1
-            )
-            leaf_idx = col.leaf_indices_for([leaf for _, _, leaf in batch])
-            dup = col.leaf_count[leaf_idx] >= 2
-            rest = np.flatnonzero(~dup)
-            pb = _Phase1Batch(
-                trigger_page=trigger_page,
-                col=col,
-                entries=[(c_id, c) for c_id, c, _ in batch],
-                vals=vals,
-                dup=dup,
-                rest=rest,
-                rest_vals=vals[rest],
-                rest_paths=candidate_paths(col, leaf_idx[rest]),
-                leaf_mins=leaf_min_tables(col, mats, order),
-            )
+            pb = snapshot_batch(tree, batch, trigger_page, mats, order)
             built.append(pb)
             process_shared(pb)
 

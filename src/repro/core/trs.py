@@ -231,10 +231,12 @@ class TRS(ReverseSkylineAlgorithm):
 
     def with_overlay(self, overlay: Overlay | None) -> "TRS":
         """A shallow clone of this prepared instance answering over a
-        different overlay. Every memo an instance carries — layout,
+        different overlay. The memos an instance carries — layout,
         staged pages, plan fingerprint, the vector backend's plan and
-        scan caches — depends only on the immutable base, never on the
-        overlay, so the clone shares them all. The maintenance engine
+        scan caches — depend only on the immutable base, so the clone
+        shares them all; the vector backend's per-epoch delta and
+        tombstone plans are keyed on the overlay and rebuilt when it
+        changes. The maintenance engine
         uses this to advance epochs without re-preparing."""
         clone = copy.copy(self)
         if overlay is not None and overlay.empty:
@@ -348,8 +350,8 @@ class TRS(ReverseSkylineAlgorithm):
         base candidates — phase 1 is only a sound filter (survivors ⊇
         RS), so keeping the base batch structure untouched leaves cached
         vector phase-1 plans bit-identical to the overlay-free run.
-        VectorTRS reuses this scalar appendix after its vector base pass.
-        Survivors stay in memory (never written to scratch): deltas do
+        ``VectorTRS._phase1_delta_vec`` answers the same batches with the
+        frontier kernel. Survivors stay in memory (never written to scratch): deltas do
         not touch the simulated disk, so base IO counters stay pinned.
         All comparisons charge ``stats.checks_delta``.
         """

@@ -10,7 +10,9 @@ traversals:
   the same modeled memory budget, so batch boundaries, database passes
   and every page IO are bit-identical to TRS. The tree is then flattened
   once per batch (:class:`~repro.kernels.columnar.ColumnarALTree`) and
-  all traversals for that batch run on the flat arrays.
+  all traversals for that batch run on the flat arrays. An overlay's
+  tombstones move those boundaries, so an epoch that carries them gets
+  its own plan, built once by its first read.
 - **Phase 1** answers ``IsPrunable`` for the *whole batch at once*:
   one frontier sweep carries every (candidate, node) pair down the
   levels, with the candidate's own soft-removed path handled by an
@@ -67,13 +69,86 @@ class _Phase1Batch:
 
     trigger_page: int | None
     col: ColumnarALTree
-    entries: list[tuple]  # (record_id, values) in batch order
+    ids: np.ndarray  # B record ids in batch order
     vals: np.ndarray  # B x m value ids
     dup: np.ndarray  # B bools: exact duplicate present in batch
     rest: np.ndarray  # indices of non-duplicate candidates
     rest_vals: np.ndarray  # vals[rest]
     rest_paths: np.ndarray  # candidate_paths(col, leaf_idx[rest])
     leaf_mins: tuple[np.ndarray, np.ndarray] | None  # leaf_min_tables(col)
+
+    def records(self, rows: np.ndarray) -> list[tuple[int, tuple]]:
+        """``(record_id, values)`` of the candidates at ``rows`` — built
+        only for the few a query keeps, never for the whole batch."""
+        return [
+            (rid, tuple(values))
+            for rid, values in zip(
+                self.ids[rows].tolist(), self.vals[rows].tolist()
+            )
+        ]
+
+
+def snapshot_batch(
+    tree, batch: list[tuple], trigger_page: int | None, mats, order
+) -> _Phase1Batch:
+    """Flatten one accumulated phase-1 batch for query replay. ``batch``
+    lists the tree's records in insertion order, each a tuple that
+    starts ``(record_id, values)``."""
+    col = ColumnarALTree.from_tree(tree)
+    ids = np.fromiter((r[0] for r in batch), dtype=np.intp, count=len(batch))
+    vals = np.asarray([r[1] for r in batch], dtype=np.intp).reshape(
+        len(batch), -1
+    )
+    # Each candidate's leaf, via its (batch-unique) record id.
+    by_id = np.argsort(col.entry_ids, kind="stable")
+    leaf_idx = col.entry_leaf[
+        by_id[np.searchsorted(col.entry_ids, ids, sorter=by_id)]
+    ]
+    dup = col.leaf_count[leaf_idx] >= 2
+    rest = np.flatnonzero(~dup)
+    return _Phase1Batch(
+        trigger_page=trigger_page,
+        col=col,
+        ids=ids,
+        vals=vals,
+        dup=dup,
+        rest=rest,
+        rest_vals=vals[rest],
+        rest_paths=candidate_paths(col, leaf_idx[rest]),
+        leaf_mins=leaf_min_tables(col, mats, order),
+    )
+
+
+def batch_prunable(
+    pb: _Phase1Batch, mats: list[np.ndarray], order, query
+) -> tuple[np.ndarray, np.ndarray]:
+    """``IsPrunable`` for every candidate of one batch against ``query``:
+    ``(prunable, checks)``, one entry per candidate."""
+    b = pb.ids.size
+    m = len(mats)
+    qd = query_distances(mats, pb.vals, query)
+    prunable = np.zeros(b, dtype=bool)
+    checks = np.zeros(b, dtype=np.int64)
+    # Exact-duplicate fast path (same decision AND same check accounting
+    # as TRS): a duplicate of c sits at distance 0 everywhere, so c is
+    # prunable iff the query is strictly farther on some attribute —
+    # found at the first qd > 0.
+    if pb.dup.any():
+        positive = qd[pb.dup] > 0.0
+        hit = positive.any(axis=1)
+        prunable[pb.dup] = hit
+        checks[pb.dup] = np.where(hit, np.argmax(positive, axis=1) + 1, m)
+    if pb.rest.size:
+        prunable[pb.rest], checks[pb.rest] = batch_is_prunable(
+            pb.col,
+            mats,
+            order,
+            pb.rest_vals,
+            qd[pb.rest],
+            pb.rest_paths,
+            leaf_mins=pb.leaf_mins,
+        )
+    return prunable, checks
 
 
 class VectorTRS(TRS):
@@ -109,7 +184,43 @@ class VectorTRS(TRS):
             self._mats_cache = mats
         return mats
 
-    # -- phase-1 batch cache -------------------------------------------------
+    def with_overlay(self, overlay) -> "VectorTRS":
+        clone = super().with_overlay(overlay)
+        memo = clone.__dict__.get("_tomb_memo")
+        if memo is not None and (
+            clone.overlay is None or memo[1] != clone.overlay.tombstones
+        ):
+            # Another epoch's deletes: free that plan now, not when this
+            # epoch's first read replaces it.
+            del clone._tomb_memo
+        return clone
+
+    # -- phase-1 plans -------------------------------------------------------
+    def _build_batches(self, pages) -> list[_Phase1Batch]:
+        """TRS's phase-1 batching rule over ``pages``, an iterable of
+        ``(trigger, records)``: every record of a page joins the batch
+        tree, then the batch closes once the tree's modeled footprint
+        reaches the memory budget, remembering ``trigger`` as the page
+        that tripped it (``None`` for the trailing partial batch). The
+        base, tombstone and delta plans all come out of this one loop."""
+        budget_bytes = self.budget.pages * self.page_bytes
+        mats = self._matrices()
+        order = self.attribute_order
+        batches: list[_Phase1Batch] = []
+        tree = self._new_tree()
+        batch: list[tuple] = []  # (record_id, values)
+        for trigger, records in pages:
+            for record in records:
+                tree.insert(*record)
+                batch.append(record)
+            if tree.memory_bytes(NODE_BYTES, ENTRY_BYTES) >= budget_bytes:
+                batches.append(snapshot_batch(tree, batch, trigger, mats, order))
+                tree = self._new_tree()
+                batch = []
+        if batch:
+            batches.append(snapshot_batch(tree, batch, None, mats, order))
+        return batches
+
     def _phase1_batches(self, data_file: PageFile) -> list[_Phase1Batch]:
         """The phase-1 batch structure, flattened and preprocessed.
 
@@ -129,81 +240,61 @@ class VectorTRS(TRS):
         key = PlanKey(
             "phase1", self._plan_fp(), (self.budget.pages, self.page_bytes)
         )
-        shared = plan_cache().get(key)
-        if shared is not None:
-            self._p1_cache = shared
-            self._p1_cache_layout = self._layout
-            return shared
-        budget_bytes = self.budget.pages * self.page_bytes
-        batches: list[_Phase1Batch] = []
-        tree = self._new_tree()
-        batch: list[tuple] = []  # (record_id, values, leaf)
-
-        # Iterate raw pages without charging IO: the cache build is an
-        # offline preprocessing step; every query still scans (and is
-        # billed for) the data file itself in _phase1.
-        for page_id in range(data_file.num_pages):
-            for record_id, values in data_file.peek_page(page_id):
-                leaf = tree.insert(record_id, values)
-                batch.append((record_id, values, leaf))
-            if tree.memory_bytes(NODE_BYTES, ENTRY_BYTES) >= budget_bytes:
-                batches.append(self._snapshot_batch(tree, batch, page_id))
-                tree = self._new_tree()
-                batch = []
-        if batch:
-            batches.append(self._snapshot_batch(tree, batch, None))
-        plan_cache().put(key, batches)
+        batches = plan_cache().get(key)
+        if batches is None:
+            # Iterate raw pages without charging IO: the cache build is an
+            # offline preprocessing step; every query still scans (and is
+            # billed for) the data file itself in _phase1.
+            batches = self._build_batches(
+                (page_id, data_file.peek_page(page_id))
+                for page_id in range(data_file.num_pages)
+            )
+            plan_cache().put(key, batches)
         self._p1_cache = batches
         self._p1_cache_layout = self._layout
         return batches
 
-    def _snapshot_batch(
-        self, tree, batch: list[tuple], trigger_page: int | None
-    ) -> _Phase1Batch:
-        """Flatten one accumulated phase-1 batch for query replay."""
-        col = ColumnarALTree.from_tree(tree)
-        vals = np.asarray([c for _, c, _ in batch], dtype=np.intp).reshape(
-            len(batch), -1
+    def _tombstone_plan(self, data_file: PageFile):
+        """This epoch's plan under tombstones: ``(batches, scan)``.
+
+        Deleted records change which pages trip the memory budget, so
+        the base plan cannot be replayed; ``batches`` is rebuilt with
+        TRS's own rule (tombstoned records skipped while the batch tree
+        fills), and ``scan`` is :meth:`_scan_arrays` without their rows
+        (deleted records prune nobody in phase 2). Memoised on the
+        instance, keyed by (layout, tombstone set) — epoch clones of an
+        insert-only update inherit it — and never published to the
+        process-wide plan cache: it lives for one epoch and would only
+        evict base plans there."""
+        tomb = self.overlay.tombstones
+        memo = getattr(self, "_tomb_memo", None)
+        if memo is not None and memo[0] is self._layout and memo[1] == tomb:
+            return memo[2]
+        ids, vals, pages = self._scan_arrays(data_file)
+        keep = ~np.isin(ids, np.fromiter(tomb, dtype=np.intp, count=len(tomb)))
+        batches = self._build_batches(
+            (
+                page_id,
+                [r for r in data_file.peek_page(page_id) if r[0] not in tomb],
+            )
+            for page_id in range(data_file.num_pages)
         )
-        leaf_idx = col.leaf_indices_for([leaf for _, _, leaf in batch])
-        dup = col.leaf_count[leaf_idx] >= 2
-        rest = np.flatnonzero(~dup)
-        return _Phase1Batch(
-            trigger_page=trigger_page,
-            col=col,
-            entries=[(c_id, c) for c_id, c, _ in batch],
-            vals=vals,
-            dup=dup,
-            rest=rest,
-            rest_vals=vals[rest],
-            rest_paths=candidate_paths(col, leaf_idx[rest]),
-            leaf_mins=leaf_min_tables(col, self._matrices(), self.attribute_order),
-        )
+        plan = (batches, (ids[keep], vals[keep], pages[keep]))
+        self._tomb_memo = (self._layout, tomb, plan)
+        return plan
 
     def _delta_batches(self) -> list[_Phase1Batch]:
         """The overlay's delta entries as preprocessed phase-1 batches.
 
-        Mirrors the scalar appendix's batching rule (fresh trees, never
-        mixed with base candidates, same memory budget), but flattens the
-        trees once per overlay instead of walking them per query. Keyed
-        on overlay identity, so epoch clones (``with_overlay``) rebuild
-        while repeat queries within an epoch replay."""
+        The scalar appendix's batching rule (fresh trees, never mixed
+        with base candidates, same memory budget, checked after every
+        entry), flattened once per overlay instead of walked per query.
+        Keyed on overlay identity, so epoch clones (``with_overlay``)
+        rebuild while repeat queries within an epoch replay."""
         cached = getattr(self, "_delta_cache", None)
         if cached is not None and self._delta_cache_overlay is self.overlay:
             return cached
-        budget_bytes = self.budget.pages * self.page_bytes
-        batches: list[_Phase1Batch] = []
-        tree = self._new_tree()
-        batch: list[tuple] = []
-        for d_id, d in self.overlay.entries:
-            leaf = tree.insert(d_id, d)
-            batch.append((d_id, d, leaf))
-            if tree.memory_bytes(NODE_BYTES, ENTRY_BYTES) >= budget_bytes:
-                batches.append(self._snapshot_batch(tree, batch, None))
-                tree = self._new_tree()
-                batch = []
-        if batch:
-            batches.append(self._snapshot_batch(tree, batch, None))
+        batches = self._build_batches((None, [e]) for e in self.overlay.entries)
         self._delta_cache = batches
         self._delta_cache_overlay = self.overlay
         return batches
@@ -249,59 +340,31 @@ class VectorTRS(TRS):
         self, data_file: PageFile, scratch: PageFile, query: tuple, stats: CostStats
     ) -> list[tuple[int, tuple]]:
         overlay = self.overlay
-        if overlay is not None and overlay.tombstones:
-            # Tombstones would have to be soft-removed inside the baked
-            # batch trees of every cached plan (a per-epoch plan rebuild,
-            # exactly what surgical invalidation avoids); delegate the
-            # phase to the scalar path, which skips them while batches
-            # accumulate. The cached vector plans stay valid for
-            # overlay-free queries on the same layout.
-            return TRS._phase1(self, data_file, scratch, query, stats)
         mats = self._matrices()
         order = self.attribute_order
-        m = self.dataset.num_attributes
         trace = self.trace_checks
         writer = scratch.writer()
         stats.db_passes += 1
-        batches = self._phase1_batches(data_file)
+        if overlay is not None and overlay.tombstones:
+            batches, _ = self._tombstone_plan(data_file)
+        else:
+            # No deletes: an insert-only overlay replays the base plan
+            # unchanged (its deltas run in batches of their own below).
+            batches = self._phase1_batches(data_file)
 
         def process_batch(pb: _Phase1Batch) -> None:
             with _obs.span("kernel.phase1", backend=self.backend) as span:
-                b = len(pb.entries)
-                qd = query_distances(mats, pb.vals, query)
-                prunable = np.zeros(b, dtype=bool)
-                checks = np.zeros(b, dtype=np.int64)
-                # Exact-duplicate fast path (same decision AND same check
-                # accounting as TRS): a duplicate of c sits at distance 0
-                # everywhere, so c is prunable iff the query is strictly
-                # farther on some attribute — found at the first qd > 0.
-                if pb.dup.any():
-                    positive = qd[pb.dup] > 0.0
-                    hit = positive.any(axis=1)
-                    prunable[pb.dup] = hit
-                    checks[pb.dup] = np.where(
-                        hit, np.argmax(positive, axis=1) + 1, m
-                    )
-                if pb.rest.size:
-                    prunable[pb.rest], checks[pb.rest] = batch_is_prunable(
-                        pb.col,
-                        mats,
-                        order,
-                        pb.rest_vals,
-                        qd[pb.rest],
-                        pb.rest_paths,
-                        leaf_mins=pb.leaf_mins,
-                    )
+                b = pb.ids.size
+                prunable, checks = batch_prunable(pb, mats, order, query)
                 stats.pruner_tests += b
                 stats.checks_phase1 += int(checks.sum())
                 if trace:
-                    for (c_id, _), c_checks in zip(pb.entries, checks):
+                    for c_id, c_checks in zip(pb.ids.tolist(), checks.tolist()):
                         stats.per_object_phase1[c_id] = (
-                            stats.per_object_phase1.get(c_id, 0) + int(c_checks)
+                            stats.per_object_phase1.get(c_id, 0) + c_checks
                         )
-                for (c_id, c), is_pruned in zip(pb.entries, prunable):
-                    if not is_pruned:
-                        writer.append(c_id, c)
+                for c_id, c in pb.records(np.flatnonzero(~prunable)):
+                    writer.append(c_id, c)
                 stats.phase1_batches += 1
                 span.annotate("candidates", b)
                 span.annotate("nodes", sum(int(k.size) for k in pb.col.keys))
@@ -322,10 +385,9 @@ class VectorTRS(TRS):
             process_batch(batches[next_batch])
             next_batch += 1
         writer.close()
-        # Pure-insert overlay: the vector base pass above replays cached
-        # plans unchanged; the delta entries run through their own
-        # preprocessed batches (fresh trees, never mixed with base
-        # candidates, every comparison charged to checks_delta).
+        # The delta entries run through their own preprocessed batches
+        # (fresh trees, never mixed with base candidates, every
+        # comparison charged to checks_delta).
         delta_survivors = self._phase1_delta_vec(query, stats)
         if overlay is None:
             stats.phase1_pruned = len(self.dataset) - scratch.num_records
@@ -349,36 +411,13 @@ class VectorTRS(TRS):
             return []
         mats = self._matrices()
         order = self.attribute_order
-        m = self.dataset.num_attributes
         survivors: list[tuple[int, tuple]] = []
         for pb in self._delta_batches():
-            b = len(pb.entries)
-            qd = query_distances(mats, pb.vals, query)
-            prunable = np.zeros(b, dtype=bool)
-            checks = np.zeros(b, dtype=np.int64)
-            if pb.dup.any():
-                positive = qd[pb.dup] > 0.0
-                hit = positive.any(axis=1)
-                prunable[pb.dup] = hit
-                checks[pb.dup] = np.where(
-                    hit, np.argmax(positive, axis=1) + 1, m
-                )
-            if pb.rest.size:
-                prunable[pb.rest], checks[pb.rest] = batch_is_prunable(
-                    pb.col,
-                    mats,
-                    order,
-                    pb.rest_vals,
-                    qd[pb.rest],
-                    pb.rest_paths,
-                    leaf_mins=pb.leaf_mins,
-                )
-            stats.pruner_tests += b
+            prunable, checks = batch_prunable(pb, mats, order, query)
+            stats.pruner_tests += pb.ids.size
             stats.checks_delta += int(checks.sum())
             stats.phase1_batches += 1
-            for (d_id, d), is_pruned in zip(pb.entries, prunable):
-                if not is_pruned:
-                    survivors.append((d_id, d))
+            survivors.extend(pb.records(np.flatnonzero(~prunable)))
         return survivors
 
     # -- phase 2 -------------------------------------------------------------
@@ -406,14 +445,9 @@ class VectorTRS(TRS):
         d_ids = d_vals = None
         if overlay is not None:
             if overlay.tombstones:
-                tomb = np.fromiter(
-                    overlay.tombstones, dtype=np.intp,
-                    count=len(overlay.tombstones),
+                _, (e_ids_all, e_vals_all, e_page) = self._tombstone_plan(
+                    data_file
                 )
-                keep = ~np.isin(e_ids_all, tomb)
-                e_ids_all = e_ids_all[keep]
-                e_vals_all = e_vals_all[keep]
-                e_page = e_page[keep]
             if overlay.entries:
                 d_ids = np.asarray(
                     [rid for rid, _ in overlay.entries], dtype=np.intp
@@ -648,9 +682,7 @@ def export_plan(batches: list[_Phase1Batch]) -> tuple[list[dict], dict]:
                 "has_lmins": pb.leaf_mins is not None,
             }
         )
-        arrays[p + "ids"] = np.asarray(
-            [rid for rid, _ in pb.entries], dtype=np.intp
-        )
+        arrays[p + "ids"] = pb.ids
         arrays[p + "vals"] = pb.vals
         arrays[p + "dup"] = pb.dup
         arrays[p + "rest"] = pb.rest
@@ -694,12 +726,6 @@ def import_plan(meta: list[dict], arrays: dict) -> list[_Phase1Batch]:
             entry_ids=arrays[p + "entry_ids"],
             entry_leaf=arrays[p + "entry_leaf"],
         )
-        ids = arrays[p + "ids"]
-        vals = arrays[p + "vals"]
-        entries = [
-            (int(rid), tuple(int(v) for v in row))
-            for rid, row in zip(ids, vals)
-        ]
         leaf_mins = (
             (arrays[p + "lmin0"], arrays[p + "lmin1"])
             if info["has_lmins"]
@@ -709,8 +735,8 @@ def import_plan(meta: list[dict], arrays: dict) -> list[_Phase1Batch]:
             _Phase1Batch(
                 trigger_page=info["trigger_page"],
                 col=col,
-                entries=entries,
-                vals=vals,
+                ids=arrays[p + "ids"],
+                vals=arrays[p + "vals"],
                 dup=arrays[p + "dup"],
                 rest=arrays[p + "rest"],
                 rest_vals=arrays[p + "rest_vals"],

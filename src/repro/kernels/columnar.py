@@ -76,7 +76,6 @@ class ColumnarALTree:
         "entry_ids",
         "entry_leaf",
         "num_objects",
-        "_leaf_index",
     )
 
     def __init__(self) -> None:
@@ -91,7 +90,6 @@ class ColumnarALTree:
         self.entry_ids = np.zeros(0, dtype=np.intp)
         self.entry_leaf = np.zeros(0, dtype=np.intp)
         self.num_objects = 0
-        self._leaf_index: dict[int, int] = {}
 
     @classmethod
     def from_arrays(
@@ -108,13 +106,7 @@ class ColumnarALTree:
         entry_leaf: np.ndarray,
     ) -> "ColumnarALTree":
         """Reassemble a flattening from its raw arrays (zero-copy views
-        are fine — the kernels never mutate them).
-
-        The pointer-tree leaf index is **not** reconstructed: it exists
-        only to bridge :meth:`from_tree` to the builder that flattened
-        the tree, so an imported flattening (plan cache, shared memory)
-        supports every kernel but not :meth:`leaf_index_of`.
-        """
+        are fine — the kernels never mutate them)."""
         col = cls()
         col.num_levels = len(keys)
         col.keys = list(keys)
@@ -167,25 +159,11 @@ class ColumnarALTree:
                 ids.append(rid)
                 leaf_of.append(li)
             offset += len(leaf.entries)
-            col._leaf_index[id(leaf)] = li
         col.leaf_start = np.asarray(starts, dtype=np.intp)
         col.leaf_count = np.asarray(counts, dtype=np.intp)
         col.entry_ids = np.asarray(ids, dtype=np.intp)
         col.entry_leaf = np.asarray(leaf_of, dtype=np.intp)
         return col
-
-    def leaf_index_of(self, leaf_node) -> int:
-        """The flat index of a pointer-tree leaf in this flattening."""
-        return self._leaf_index[id(leaf_node)]
-
-    def leaf_indices_for(self, leaf_nodes) -> np.ndarray:
-        """Vector of flat leaf indices for a batch of pointer-tree leaves."""
-        index = self._leaf_index
-        return np.fromiter(
-            (index[id(node)] for node in leaf_nodes),
-            dtype=np.intp,
-            count=len(leaf_nodes),
-        )
 
     def live_descendants(self, alive: np.ndarray) -> list[np.ndarray]:
         """Per-level live-descendant counts given an entry ``alive`` mask

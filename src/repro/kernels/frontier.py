@@ -32,6 +32,10 @@ import numpy as np
 
 from repro.kernels.columnar import ColumnarALTree
 
+#: Starting (candidate, root) pairs per block of a phase-1 sweep (see
+#: :func:`batch_is_prunable`).
+_BLOCK_PAIRS = 4096
+
 __all__ = [
     "batch_is_prunable",
     "candidate_paths",
@@ -181,51 +185,58 @@ def batch_is_prunable(
     for chunk in (roots[:1], roots[1:]):
         if undecided.size == 0 or chunk.size == 0:
             break
-        cand_idx = np.tile(undecided, chunk.size)
-        node_idx = np.repeat(chunk, undecided.size)
-        found_closer = np.zeros(cand_idx.size, dtype=bool)
-        for level in range(last + 1):
-            i = order[level]
-            # Effective descendants: the candidate's own path carries one
-            # fewer object (its soft-removed self).
-            live = (
-                col.desc[level][node_idx]
-                - (self_paths[cand_idx, level] == node_idx)
-            ) > 0
-            checks += np.bincount(cand_idx[live], minlength=B)
-            d_cp = mats[i][cand_vals[cand_idx, i], col.keys[level][node_idx]]
-            d_cq = qd[cand_idx, i]
-            keep = live & (d_cp <= d_cq)
-            found_closer = found_closer[keep] | (d_cp[keep] < d_cq[keep])
-            cand_idx = cand_idx[keep]
-            node_idx = node_idx[keep]
-            if cand_idx.size == 0:
-                break
-            if level == last:
-                if collapse:
-                    # Collapsed leaf probe: one check per surviving
-                    # (candidate, leaf-parent) pair, against the batch's
-                    # min-distance tables (self-excluding under the
-                    # candidate's own parent).
-                    checks += np.bincount(cand_idx, minlength=B)
-                    amin, amin_ex = leaf_mins
-                    own = self_paths[cand_idx, m - 2] == node_idx
-                    leaf_vals = cand_vals[cand_idx, i_leaf]
-                    best = np.where(
-                        own,
-                        amin_ex[node_idx, leaf_vals],
-                        amin[node_idx, leaf_vals],
-                    )
-                    d_q = qd[cand_idx, i_leaf]
-                    hit = np.where(found_closer, best <= d_q, best < d_q)
-                    prunable[cand_idx[hit]] = True
-                else:
-                    # Leaves reached with FoundCloser set are pruners.
-                    prunable[cand_idx[found_closer]] = True
-                break
-            node_idx, (cand_idx, found_closer) = _expand(
-                col, level, node_idx, cand_idx, found_closer
-            )
+        # Candidates are independent, so sweeping them in blocks changes
+        # no decision and no check count. It bounds the frontier, which
+        # grows up to fan-out-fold per level: one unblocked sweep over a
+        # few thousand candidates can hold tens of MiB of pair arrays.
+        step = max(1, _BLOCK_PAIRS // chunk.size)
+        for lo in range(0, undecided.size, step):
+            block = undecided[lo : lo + step]
+            cand_idx = np.tile(block, chunk.size)
+            node_idx = np.repeat(chunk, block.size)
+            found_closer = np.zeros(cand_idx.size, dtype=bool)
+            for level in range(last + 1):
+                i = order[level]
+                # Effective descendants: the candidate's own path carries one
+                # fewer object (its soft-removed self).
+                live = (
+                    col.desc[level][node_idx]
+                    - (self_paths[cand_idx, level] == node_idx)
+                ) > 0
+                checks += np.bincount(cand_idx[live], minlength=B)
+                d_cp = mats[i][cand_vals[cand_idx, i], col.keys[level][node_idx]]
+                d_cq = qd[cand_idx, i]
+                keep = live & (d_cp <= d_cq)
+                found_closer = found_closer[keep] | (d_cp[keep] < d_cq[keep])
+                cand_idx = cand_idx[keep]
+                node_idx = node_idx[keep]
+                if cand_idx.size == 0:
+                    break
+                if level == last:
+                    if collapse:
+                        # Collapsed leaf probe: one check per surviving
+                        # (candidate, leaf-parent) pair, against the batch's
+                        # min-distance tables (self-excluding under the
+                        # candidate's own parent).
+                        checks += np.bincount(cand_idx, minlength=B)
+                        amin, amin_ex = leaf_mins
+                        own = self_paths[cand_idx, m - 2] == node_idx
+                        leaf_vals = cand_vals[cand_idx, i_leaf]
+                        best = np.where(
+                            own,
+                            amin_ex[node_idx, leaf_vals],
+                            amin[node_idx, leaf_vals],
+                        )
+                        d_q = qd[cand_idx, i_leaf]
+                        hit = np.where(found_closer, best <= d_q, best < d_q)
+                        prunable[cand_idx[hit]] = True
+                    else:
+                        # Leaves reached with FoundCloser set are pruners.
+                        prunable[cand_idx[found_closer]] = True
+                    break
+                node_idx, (cand_idx, found_closer) = _expand(
+                    col, level, node_idx, cand_idx, found_closer
+                )
         undecided = undecided[~prunable[undecided]]
     return prunable, checks
 

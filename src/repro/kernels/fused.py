@@ -73,7 +73,7 @@ def fused_phase1(
     ``(batch, queries)`` — where column ``j`` is bit-identical to what
     the per-query sweep produces for ``queries[j]``.
     """
-    b = len(pb.entries)
+    b = pb.ids.size
     nq = queries.shape[0]
     m = len(mats)
     prunable = np.zeros((b, nq), dtype=bool)

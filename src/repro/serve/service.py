@@ -624,9 +624,13 @@ class QueryService:
             return
         wall_s = loop.time() - start
         self._admission.observe_service_time(wall_s / len(live))
+        outcomes = out if isinstance(out, list) else [out]
         if _obs.enabled:
             _obs.observe("repro_serve_payload_seconds", wall_s)
-        outcomes = out if isinstance(out, list) else [out]
+            # A process-pool worker ships its counters once per wire, on
+            # the first outcome (thread pools count in this process).
+            if outcomes[0].metrics is not None:
+                _obs.registry().merge(outcomes[0].metrics)
         if wire[0] == "group":
             # Counted here, not in the worker: a process-pool worker's
             # counters never reach this process.

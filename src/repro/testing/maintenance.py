@@ -23,6 +23,11 @@ Per trial the harness exercises, in order:
    exercises the delta wire-state shipping and, with shm, the delta
    segment publication) compared slot-for-slot against the oracle.
 
+Backends may differ on check counts, never on page IO: when both the
+``python`` and ``numpy`` backends run, every probe's four charged IO
+counters (sequential/random reads and writes) must agree between them
+at every step, or the trial fails with a ``charged IO`` label.
+
     report = verify_maint_equivalence(trials=25, seed=0)
     assert report.ok, report.failures[0]
 """
@@ -89,6 +94,16 @@ def _rebuild_oracle_ids(store, query, *, page_bytes: int) -> tuple[int, ...]:
     return tuple(sorted(sids[p] for p in oracle.query(query).record_ids))
 
 
+def _charged_io(result) -> tuple[int, int, int, int]:
+    io = result.stats.io
+    return (
+        io.sequential_reads,
+        io.random_reads,
+        io.sequential_writes,
+        io.random_writes,
+    )
+
+
 def verify_maint_equivalence(
     *,
     trials: int = 25,
@@ -124,17 +139,25 @@ def verify_maint_equivalence(
     report = MaintReport()
     unavailable: set[str] = set()
 
-    def check(case: WorkloadCase, engine, queries, label: str) -> bool:
-        """Compare every probe query against the oracle; False on miss."""
-        for q in queries:
+    def check(
+        case: WorkloadCase, engine, queries, label: str, step: str, io: dict
+    ) -> bool:
+        """Compare every probe query against the oracle after ``step``;
+        False on miss. Records each probe's charged IO in ``io`` under
+        ``(step, i)``."""
+        for i, q in enumerate(queries):
             want = _rebuild_oracle_ids(
                 engine.store, q, page_bytes=case.page_bytes
             )
-            got = tuple(engine.query(q).record_ids)
+            result = engine.query(q)
+            got = tuple(result.record_ids)
+            io[(step, i)] = _charged_io(result)
             report.checks += 1
             if got != want:
                 report.failures.append(
-                    VerificationFailure(case, want, got, error=label)
+                    VerificationFailure(
+                        case, want, got, error=f"{label}: {step}"
+                    )
                 )
                 return False
         return True
@@ -143,6 +166,7 @@ def verify_maint_equivalence(
         case = random_workload(seed + t)
         report.trials += 1
         cards = case.dataset.schema.cardinalities()
+        io_by_backend: dict[str | None, dict] = {}
         for backend in backends:
             rng = np.random.default_rng((seed + t) * 7919 + 11)
             probes = [case.query] + [
@@ -167,6 +191,7 @@ def verify_maint_equivalence(
                 )
                 continue
             store = engine.store
+            io = io_by_backend[backend] = {}
             ok = True
             for b in range(batches):
                 inserts = [
@@ -192,7 +217,8 @@ def verify_maint_equivalence(
                     ok = False
                     break
                 report.batches += 1
-                if not check(case, engine, probes, f"{label}: after batch {b}"):
+                step = f"after batch {b}"
+                if not check(case, engine, probes, label, step, io):
                     ok = False
                     break
             if not ok or len(report.failures) >= max_failures:
@@ -225,7 +251,7 @@ def verify_maint_equivalence(
                     )
                     continue
                 report.crash_recoveries += 1
-                if not check(case, engine, probes, f"{label}: post-crash"):
+                if not check(case, engine, probes, label, "post-crash", io):
                     continue
             try:
                 engine.compact()
@@ -237,7 +263,7 @@ def verify_maint_equivalence(
                 )
                 continue
             report.compactions += store.compactions
-            if not check(case, engine, probes, f"{label}: post-compaction"):
+            if not check(case, engine, probes, label, "post-compaction", io):
                 continue
             expected = [
                 _rebuild_oracle_ids(store, q, page_bytes=case.page_bytes)
@@ -277,6 +303,25 @@ def verify_maint_equivalence(
                             )
                         )
                         break
+            if len(report.failures) >= max_failures:
+                return report
+        want_io = io_by_backend.get("python")
+        got_io = io_by_backend.get("numpy")
+        if want_io and got_io:
+            for key, want in want_io.items():
+                have = got_io.get(key)
+                if have is not None and have != want:
+                    step, i = key
+                    report.failures.append(
+                        VerificationFailure(
+                            case, want, have,
+                            error=(
+                                f"charged IO: backend=numpy {have} != "
+                                f"backend=python {want} ({step}, probe {i})"
+                            ),
+                        )
+                    )
+                    break
             if len(report.failures) >= max_failures:
                 return report
     return report

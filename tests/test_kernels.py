@@ -83,6 +83,30 @@ class TestVectorTRSDifferential:
                 vec.run(case.query), ref.run(case.query), case.describe()
             )
 
+    def test_blocked_phase1_sweep_changes_no_count(self, monkeypatch):
+        """The phase-1 kernel sweeps candidates in blocks only to bound
+        its frontier: one candidate per block reproduces the default
+        run's answers and check counts exactly."""
+        from repro.kernels import frontier
+
+        for t in range(25):
+            case = random_workload(9300 + t)
+            budget = MemoryBudget(case.budget_pages)
+
+            def run():
+                return VectorTRS(
+                    case.dataset, budget=budget, page_bytes=case.page_bytes
+                ).run(case.query)
+
+            want = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(frontier, "_BLOCK_PAIRS", 1)
+                got = run()
+            assert got.record_ids == want.record_ids, case.describe()
+            assert got.stats.checks_phase1 == want.stats.checks_phase1, (
+                case.describe()
+            )
+
     def test_matches_oracle(self):
         report = verify_algorithm(
             lambda ds, budget, page: VectorTRS(ds, budget=budget, page_bytes=page),

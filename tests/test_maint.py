@@ -7,12 +7,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import trs as trs_module
+from repro.core.overlay import Overlay
+from repro.core.trs import TRS
+from repro.core.vector_trs import VectorTRS
 from repro.data.dataset import Dataset
 from repro.data.synthetic import synthetic_dataset
 from repro.engine import ReverseSkylineEngine
 from repro.errors import AlgorithmError
 from repro.kernels.plancache import configure, plan_cache
 from repro.maint import MaintainedEngine, MaintStore
+from repro.storage.disk import MemoryBudget
 from repro.streaming import ReverseSkylineMonitor
 from repro.testing import verify_maint_equivalence
 
@@ -382,3 +387,135 @@ def test_property_random_interleavings_match_rebuild(seed, ops, compact_min):
     assert tuple(engine.query(query).record_ids) == _oracle_ids(
         engine.store, query
     )
+
+
+# -- tombstoned epochs: vectorised phase 1 ----------------------------------
+
+#: Every field VectorTRS must share bit-for-bit with TRS under an overlay
+#: (``checks_*`` follow the frontier accounting; ``peek_reads`` count the
+#: uncharged plan builds).
+_CONTRACT_STATS = (
+    "db_passes",
+    "phase1_batches",
+    "phase2_batches",
+    "pruner_tests",
+    "intermediate_count",
+    "phase1_pruned",
+)
+_CONTRACT_IO = (
+    "sequential_reads",
+    "random_reads",
+    "sequential_writes",
+    "random_writes",
+)
+
+
+def _assert_same_as_trs(got, want, label):
+    assert got.record_ids == want.record_ids, label
+    for f in _CONTRACT_STATS:
+        assert getattr(got.stats, f) == getattr(want.stats, f), f"{label}: {f}"
+    for f in _CONTRACT_IO:
+        assert getattr(got.stats.io, f) == getattr(want.stats.io, f), (
+            f"{label}: {f}"
+        )
+
+
+def _random_overlay(base, rng, tomb_frac, n_ins, epoch):
+    n = len(base)
+    cards = base.schema.cardinalities()
+    return Overlay(
+        entries=[
+            (n + j, tuple(rng.randrange(c) for c in cards))
+            for j in range(n_ins)
+        ],
+        tombstones=rng.sample(range(n), int(n * tomb_frac)),
+        epoch=epoch,
+    )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n=st.integers(min_value=30, max_value=220),
+    # 16 B = one record per page, so a few budget pages make many small
+    # batches whose trigger pages shift as tombstones thin the scan.
+    page_bytes=st.sampled_from([16, 32, 64, 128]),
+    budget_pages=st.integers(min_value=2, max_value=7),
+    epochs=st.lists(
+        st.tuples(st.floats(0.0, 0.6), st.integers(0, 12)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_property_tombstoned_vector_trs_matches_trs(
+    seed, n, page_bytes, budget_pages, epochs
+):
+    """Random overlays with tombstones and deltas: VectorTRS, advanced
+    epoch by epoch through ``with_overlay`` as the maintained engine
+    does, is bit-identical to scalar TRS on ids, charged IO and batch
+    structure."""
+    rng = random.Random(seed)
+    base = synthetic_dataset(n, [5, 4, 6], seed=seed % 11)
+    budget = MemoryBudget(budget_pages)
+    vec = VectorTRS(base, budget=budget, page_bytes=page_bytes)
+    vec.prepare()
+    cards = base.schema.cardinalities()
+    queries = [tuple(rng.randrange(c) for c in cards) for _ in range(2)]
+    for e, (tomb_frac, n_ins) in enumerate(epochs, start=1):
+        overlay = _random_overlay(base, rng, tomb_frac, n_ins, e)
+        vec = vec.with_overlay(overlay)
+        ref = TRS(base, budget=budget, page_bytes=page_bytes, overlay=overlay)
+        for q in queries:
+            _assert_same_as_trs(
+                vec.run(q), ref.run(q), f"epoch {e}, query {q}"
+            )
+
+
+def test_tombstoned_phase1_never_takes_the_scalar_path(monkeypatch):
+    base = synthetic_dataset(400, [6, 5, 7], seed=3)
+    rng = random.Random(5)
+    overlay = _random_overlay(base, rng, 0.2, 20, 1)
+    budget = MemoryBudget(2)
+    queries = [tuple(rng.randrange(c) for c in (6, 5, 7)) for _ in range(4)]
+    ref = TRS(base, budget=budget, page_bytes=64, overlay=overlay)
+    want = [ref.run(q) for q in queries]
+    vec = VectorTRS(base, budget=budget, page_bytes=64)
+    vec.prepare()
+    vec.run(queries[0])  # builds the overlay-free base plan
+    base_triggers = [pb.trigger_page for pb in vec._p1_cache]
+
+    def scalar(*_args, **_kwargs):
+        raise AssertionError("tombstoned VectorTRS reached the scalar path")
+
+    monkeypatch.setattr(trs_module, "is_prunable", scalar)
+    monkeypatch.setattr(TRS, "_phase1", scalar)
+    monkeypatch.setattr(TRS, "_phase1_delta", scalar)
+    epoch = vec.with_overlay(overlay)
+    for q, w in zip(queries, want):
+        _assert_same_as_trs(epoch.run(q), w, f"query {q}")
+    # The deletes really moved the batch boundaries the plan replays.
+    batches, _ = epoch._tombstone_plan(None)  # memoised: no data file read
+    assert len(batches) > 1
+    assert [pb.trigger_page for pb in batches] != base_triggers
+
+
+def test_tombstoned_queries_publish_no_plans():
+    """The per-epoch tombstone plan lives on the instance only: it must
+    not enter (and evict base plans from) the process-wide cache."""
+    base = synthetic_dataset(300, [6, 5, 7], seed=4)
+    rng = random.Random(6)
+    vec = VectorTRS(base, budget=MemoryBudget(2), page_bytes=64)
+    vec.prepare()
+    q = (1, 2, 3)
+    vec.run(q)
+    before = plan_cache().stats().entries
+    assert before > 0
+    for e in range(1, 4):
+        epoch = vec.with_overlay(_random_overlay(base, rng, 0.1, 5, e))
+        epoch.run(q)
+        epoch.run(q)
+    assert plan_cache().stats().entries == before

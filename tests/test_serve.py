@@ -302,6 +302,46 @@ class TestServiceRoundTrip:
         assert kernels["fused_groups_run"] >= 1
         assert kernels["tier"] == "numpy"
 
+    def test_process_pool_worker_metrics_are_merged(self, server_factory):
+        """Counters a pool worker records reach the service's registry:
+        a coalesced burst reads one ``repro_kernel_fused_groups_total``
+        per fused group wire under a process pool, as under a thread
+        pool. (How many wires coalesce depends on arrival timing, so
+        each run is checked against its own group count.)"""
+        from repro.obs import hooks
+        from repro.obs.metrics import series_name
+
+        key = series_name("repro_kernel_fused_groups_total", {"tier": "numpy"})
+        queries = [(i % 5, (i // 5) % 5, i % 4) for i in range(40)]
+        was = hooks.is_enabled()
+        readings = {}
+        try:
+            for pool in ("thread", "process"):
+                hooks.enable(reset_state=True)
+                handle = server_factory(
+                    _engine(300),
+                    ServiceConfig(
+                        pool=pool, workers=2, batch_window_s=0.01, cache=False
+                    ),
+                )
+                report = run_closed_loop(
+                    "127.0.0.1", handle.port, queries,
+                    clients=4, requests_per_client=8,
+                )
+                assert report.ok == 32
+                handle.stop()
+                readings[pool] = (
+                    hooks.snapshot().counters.get(key, 0),
+                    handle.service.stats.fused_groups,
+                )
+        finally:
+            hooks.reset()
+            if not was:
+                hooks.disable()
+        for pool, (counted, groups) in readings.items():
+            assert groups >= 1, pool
+            assert counted == groups, f"pool={pool}: {counted} != {groups}"
+
     def test_grouped_answers_match_sequential_engine(self, server_factory):
         """Coalescing must never change answers: everything served under
         concurrency equals the sequential engine's result."""
